@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt fmt-check race fuzz-smoke bench bench-json bench-gate slo-gate ci clean
+.PHONY: all build test vet fmt fmt-check race fuzz-smoke perfbench-check bench bench-json bench-gate slo-gate ci clean
 
 all: build
 
@@ -16,12 +16,21 @@ race:
 	$(GO) test -race ./internal/service/ ./internal/eval/ ./internal/shard/ ./internal/delta/ ./internal/wal/ ./internal/watch/ ./internal/trace/ ./internal/trace/export/
 
 # Fuzz smoke: a short budgeted run of each native fuzz target, catching
-# decoder panics and non-canonical encodings before they reach a corpus.
+# decoder panics, non-canonical encodings and 5xx answers to hostile
+# request bodies before they reach a corpus.
 # One -fuzz pattern per invocation: go test rejects multiple fuzz targets
 # in a single run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALDecode -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzMutationRequest -fuzztime 10s ./internal/service/
+	$(GO) test -run '^$$' -fuzz FuzzBatchRequest -fuzztime 10s ./internal/service/
+
+# The benchmark harness is its own module (perfbench/go.mod), so ./...
+# above never compiles it: vet and test it here, so a change to what it
+# reads from the service (service.Snapshot, the handlers) breaks the gate.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Tier-1 benchmarks, 5 repetitions for benchstat-able variance. CI uploads
 # bench.txt as an artifact so every PR leaves a perf data point to compare
@@ -69,7 +78,7 @@ fmt:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-ci: fmt-check vet build test race
+ci: fmt-check vet build test race perfbench-check
 
 clean:
 	$(GO) clean ./...

@@ -217,12 +217,12 @@ func (c *Cache) Do(ctx context.Context, key Key, compute func(context.Context) (
 		runCtx, cancel := context.WithCancel(trace.Detach(ctx))
 		slot = &computation{done: make(chan struct{}), cancel: cancel}
 		c.slots[key] = slot
-		c.metrics.miss()
+		c.metrics.add(cacheMisses, 1)
 		go c.run(key, slot, runCtx, compute)
 	} else if slot.fl != nil && !slot.filled {
 		// Joining a key a batch claimed but hasn't produced yet: the
 		// coalescing the batch engine exists for.
-		c.metrics.coalesce()
+		c.metrics.add(coalescedJoins, 1)
 	}
 	c.addWaiterLocked(slot)
 	c.mu.Unlock()
@@ -262,7 +262,7 @@ func (c *Cache) Do(ctx context.Context, key Key, compute func(context.Context) (
 		// This request created the flight; its result is fresh, not cached.
 		return CachedResult{IDs: slot.ids, Stats: slot.stats, Elapsed: slot.elapsed, Cached: false}, nil
 	}
-	c.metrics.hit()
+	c.metrics.add(cacheHits, 1)
 	return CachedResult{IDs: slot.ids, Stats: slot.stats, Elapsed: slot.elapsed, Cached: true}, nil
 }
 
@@ -277,14 +277,16 @@ func (c *Cache) run(key Key, slot *computation, ctx context.Context, compute fun
 		defer func() { <-c.sem }()
 	case <-ctx.Done():
 		// Every waiter left while this computation was still queued
-		// behind the admission semaphore; it never started.
+		// behind the admission semaphore; it never started. It never
+		// entered the in-flight gauge, but it must show up as canceled or
+		// overload cancellations are invisible.
 		slot.err = fmt.Errorf("service: computation for %v canceled while queued: %w", key, ctx.Err())
-		c.metrics.computeAbandonedQueued()
+		c.metrics.add(canceled, 1)
 		c.evict(key, slot)
 		close(slot.done)
 		return
 	}
-	c.metrics.computeStarted()
+	c.metrics.add(inFlight, 1)
 	rec, _ := trace.FromContext(ctx)
 	tid := rec.TraceID()
 	start := time.Now()
@@ -338,7 +340,7 @@ func (c *Cache) Hit(key Key) (CachedResult, bool) {
 	if slot.err != nil {
 		return CachedResult{}, false
 	}
-	c.metrics.hit()
+	c.metrics.add(cacheHits, 1)
 	return CachedResult{IDs: slot.ids, Stats: slot.stats, Elapsed: slot.elapsed, Cached: true}, true
 }
 
@@ -364,7 +366,7 @@ func (c *Cache) EncodedBody(key Key) ([]byte, bool) {
 	if body == nil {
 		return nil, false
 	}
-	c.metrics.hit()
+	c.metrics.add(cacheHits, 1)
 	return *body, true
 }
 
@@ -434,14 +436,14 @@ func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx contex
 		if found {
 			joined[key] = true
 			if slot.fl != nil && !slot.filled {
-				c.metrics.coalesce()
+				c.metrics.add(coalescedJoins, 1)
 			}
 		} else {
 			slot = &computation{done: make(chan struct{}), fl: fl}
 			c.slots[key] = slot
 			fl.unfilled++
 			owned = append(owned, key)
-			c.metrics.miss()
+			c.metrics.add(cacheMisses, 1)
 		}
 		waiting[key] = slot
 		c.addWaiterLocked(slot)
@@ -449,7 +451,8 @@ func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx contex
 	c.mu.Unlock()
 
 	if len(owned) > 0 {
-		c.metrics.batchStarted(len(owned))
+		c.metrics.add(batches, 1)
+		c.metrics.add(batchItems, int64(len(owned)))
 		// Restrict the fill surface to the claimed slots: a compute that
 		// publishes a key it merely joined must be a no-op, not a write
 		// into a foreign computation.
@@ -493,7 +496,7 @@ func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx contex
 						case s2.err != nil:
 							errs[k2] = s2.err
 						case joined[k2]:
-							c.metrics.hit()
+							c.metrics.add(cacheHits, 1)
 							results[k2] = CachedResult{IDs: s2.ids, Stats: s2.stats, Elapsed: s2.elapsed, Cached: true}
 						default:
 							results[k2] = CachedResult{IDs: s2.ids, Stats: s2.stats, Elapsed: s2.elapsed, Cached: false}
@@ -520,7 +523,7 @@ func (c *Cache) DoBatch(ctx context.Context, keys []Key, compute func(ctx contex
 		case slot.err != nil:
 			errs[key] = slot.err
 		case joined[key]:
-			c.metrics.hit()
+			c.metrics.add(cacheHits, 1)
 			results[key] = CachedResult{IDs: slot.ids, Stats: slot.stats, Elapsed: slot.elapsed, Cached: true}
 		default:
 			results[key] = CachedResult{IDs: slot.ids, Stats: slot.stats, Elapsed: slot.elapsed, Cached: false}
@@ -545,13 +548,13 @@ func (c *Cache) runBatch(fl *flight, ctx context.Context, owned []Key, slots map
 		// counting each key's fill as a cancellation too would report one
 		// overload event len(owned)+1 times.
 		err := fmt.Errorf("service: batch computation canceled while queued: %w", ctx.Err())
-		c.metrics.computeAbandonedQueued()
+		c.metrics.add(canceled, 1)
 		for _, key := range owned {
 			c.fill(fl, key, slots[key], nil, ResultStats{}, err, 0, false)
 		}
 		return
 	}
-	c.metrics.computeStarted()
+	c.metrics.add(inFlight, 1)
 	start := time.Now()
 	published := make(map[Key]bool, len(owned))
 	var mu sync.Mutex // guards published; compute may fill from worker goroutines
@@ -611,7 +614,7 @@ func (c *Cache) fill(fl *flight, key Key, slot *computation, ids []int, stats Re
 	}
 	c.mu.Unlock()
 	if counted {
-		c.metrics.batchItemFinished(key.Algo, elapsed, err)
+		c.metrics.batchItemFinished(err)
 	}
 	close(slot.done)
 	if cancelFlight {

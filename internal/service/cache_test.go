@@ -287,9 +287,9 @@ func TestMetricsHistogram(t *testing.T) {
 		t.Fatalf("numBuckets = %d, want len(latencyBuckets)+1 = %d", numBuckets, len(latencyBuckets)+1)
 	}
 	m := NewMetrics()
-	m.computeStarted()
+	m.add(inFlight, 1)
 	m.computeFinished("mdrc", 3*time.Millisecond, nil, trace.TraceID{})
-	m.computeStarted()
+	m.add(inFlight, 1)
 	m.computeFinished("mdrc", time.Minute, nil, trace.TraceID{}) // overflow bucket
 	snap := m.Snapshot()
 	if snap.InFlight != 0 {

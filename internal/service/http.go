@@ -31,9 +31,7 @@ const statusClientClosedRequest = 499
 // Server adapts a Service to JSON-over-HTTP. Mount it directly or via
 // Handler().
 //
-// The API is versioned under /v1. The pre-v1 unversioned aliases are
-// retired: they answer 410 Gone with a body pointing at the /v1 path,
-// unless WithLegacyRoutes (rrrd -legacy-routes) restores them.
+// The API is versioned under /v1.
 //
 // Endpoints:
 //
@@ -61,7 +59,6 @@ type Server struct {
 	svc     *Service
 	mux     *http.ServeMux
 	timeout time.Duration
-	legacy  bool
 
 	// tracer records request-scoped span trees (DESIGN.md §12). Traces
 	// exist only for requests that ask (a traceparent header) or that miss
@@ -99,15 +96,6 @@ type ServerOption func(*Server)
 // This is the HTTP face of the daemon's -request-timeout flag.
 func WithRequestTimeout(d time.Duration) ServerOption {
 	return func(s *Server) { s.timeout = d }
-}
-
-// WithLegacyRoutes restores the retired pre-/v1 unversioned route aliases
-// for clients that cannot move yet. Without it, unversioned paths answer
-// 410 Gone with kind "gone" and the /v1 path to use instead. This is the
-// HTTP face of the daemon's -legacy-routes escape hatch; the aliases (and
-// this option) will be removed in a future major version.
-func WithLegacyRoutes() ServerOption {
-	return func(s *Server) { s.legacy = true }
 }
 
 // WithSlowRequestLog makes the server dump the span tree of any traced
@@ -151,49 +139,22 @@ func NewServer(svc *Service, opts ...ServerOption) *Server {
 			o(s)
 		}
 	}
-	s.route("POST /datasets", s.handleRegister)
-	s.route("GET /datasets", s.handleList)
-	s.route("DELETE /datasets/{name}", s.handleRemove)
-	s.route("POST /datasets/{name}/append", s.handleAppend)
-	s.route("POST /datasets/{name}/delete", s.handleDelete)
-	s.route("GET /representative", s.handleRepresentative)
-	s.route("POST /batch", s.handleBatch)
-	s.route("GET /rank", s.handleRank)
-	s.route("GET /regret", s.handleRegret)
-	s.route("GET /watch", s.handleWatch)
-	s.route("GET /healthz", s.handleHealthz)
-	s.route("GET /stats", s.handleStats)
-	s.route("GET /metrics", s.handleMetrics)
-	s.route("GET /traces", s.handleTraces)
-	s.route("GET /traces/{id}", s.handleTraceByID)
+	s.mux.HandleFunc("POST /v1/datasets", s.handleRegister)
+	s.mux.HandleFunc("GET /v1/datasets", s.handleList)
+	s.mux.HandleFunc("DELETE /v1/datasets/{name}", s.handleRemove)
+	s.mux.HandleFunc("POST /v1/datasets/{name}/append", s.handleAppend)
+	s.mux.HandleFunc("POST /v1/datasets/{name}/delete", s.handleDelete)
+	s.mux.HandleFunc("GET /v1/representative", s.handleRepresentative)
+	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
+	s.mux.HandleFunc("GET /v1/rank", s.handleRank)
+	s.mux.HandleFunc("GET /v1/regret", s.handleRegret)
+	s.mux.HandleFunc("GET /v1/watch", s.handleWatch)
+	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
+	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceByID)
 	return s
-}
-
-// route registers a handler at its /v1 path. The unversioned alias either
-// serves the same handler (legacy mode) or a 410 Gone tombstone telling
-// the client where the endpoint moved.
-func (s *Server) route(pattern string, h http.HandlerFunc) {
-	method, path, ok := strings.Cut(pattern, " ")
-	if !ok {
-		panic("service: route pattern must be \"METHOD /path\": " + pattern)
-	}
-	s.mux.HandleFunc(method+" /v1"+path, h)
-	if s.legacy {
-		s.mux.HandleFunc(pattern, h)
-		return
-	}
-	s.mux.HandleFunc(pattern, goneHandler(method, path))
-}
-
-// goneHandler answers a retired unversioned path: 410 Gone with a
-// machine-readable kind and the /v1 path that replaced it.
-func goneHandler(method, path string) http.HandlerFunc {
-	msg := fmt.Sprintf("service: %s %s was retired; use %s /v1%s (start rrrd with -legacy-routes to restore the alias)",
-		method, path, method, path)
-	body := errorBody{Error: msg, Kind: "gone"}
-	return func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusGone, body)
-	}
 }
 
 // ServeHTTP implements http.Handler, applying the per-request deadline
@@ -259,10 +220,10 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
 // behavior).
 func (s *Server) sample(id trace.TraceID) bool {
 	if s.sampler == nil || s.sampler.Sample(id) {
-		s.svc.Metrics().sampled()
+		s.svc.Metrics().add(traceSampled, 1)
 		return true
 	}
-	s.svc.Metrics().unsampled()
+	s.svc.Metrics().add(traceUnsampled, 1)
 	return false
 }
 
@@ -318,7 +279,7 @@ func (s *Server) logSlow(tr *trace.Trace, r *http.Request) {
 }
 
 // isStreamPath reports paths that hold the connection open indefinitely.
-func isStreamPath(p string) bool { return p == "/v1/watch" || p == "/watch" }
+func isStreamPath(p string) bool { return p == "/v1/watch" }
 
 // Handler returns the server as an http.Handler (for wrapping in
 // middleware). The returned handler applies the request timeout.

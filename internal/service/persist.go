@@ -207,7 +207,7 @@ func (s *Service) Recover(ctx context.Context) (*Recovery, error) {
 		return nil, err
 	}
 	rec.TornTail, rec.DroppedBytes = res.TornTail, res.DroppedBytes
-	s.metrics.replayed(rec.ReplayedBatches)
+	s.metrics.add(replayedBatches, int64(rec.ReplayedBatches))
 
 	// The warm cache is an optimization, never a source of truth: an
 	// unreadable file costs recomputation, and entries are readmitted only
@@ -229,7 +229,7 @@ func (s *Service) Recover(ctx context.Context) (*Recovery, error) {
 			rec.WarmedAnswers++
 		}
 	}
-	s.metrics.warmed(rec.WarmedAnswers)
+	s.metrics.add(warmedAnswers, int64(rec.WarmedAnswers))
 	return rec, nil
 }
 

@@ -40,16 +40,6 @@ type datasetListBody struct {
 	} `json:"datasets"`
 }
 
-type statsBody struct {
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	Persist     struct {
-		WALAppends      int64 `json:"wal_appends"`
-		ReplayedBatches int64 `json:"replayed_batches"`
-		WarmedAnswers   int64 `json:"warmed_answers"`
-	} `json:"persist"`
-}
-
 // TestHTTPRestartSemantics is the client's view of durability: after a
 // clean shutdown and restart on the same data directory, GET /v1/datasets
 // reports the same metadata — generation included — and a representative
@@ -99,7 +89,7 @@ func TestHTTPRestartSemantics(t *testing.T) {
 	if !rep2.Cached || !slices.Equal(rep2.IDs, rep.IDs) {
 		t.Fatalf("restart lost the warm answer: cached=%v ids=%v, want cached ids %v", rep2.Cached, rep2.IDs, rep.IDs)
 	}
-	stats := doJSON[statsBody](t, "GET", ts2.URL+"/v1/stats", "", 200)
+	stats := doJSON[Snapshot](t, "GET", ts2.URL+"/v1/stats", "", 200)
 	if stats.CacheMisses != 0 || stats.CacheHits != 1 {
 		t.Fatalf("restarted daemon recomputed: hits=%d misses=%d", stats.CacheHits, stats.CacheMisses)
 	}

@@ -3,19 +3,18 @@ package service
 import (
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// This file guards the two metrics surfaces against drifting apart: the
-// JSON /v1/stats snapshot and the Prometheus /v1/metrics exposition are
-// the same numbers, and a counter added to one without the other is a
-// bug this test turns into a failure. It also checks the exposition is
-// well-formed per the text format (0.0.4) strictly enough that a real
-// scraper would ingest it.
+// This file holds the metrics surfaces to the signals registry they are
+// rendered from: the JSON /v1/stats snapshot and the Prometheus and
+// OpenMetrics /v1/metrics expositions carry the same numbers, each from
+// exactly one entry. It also checks the exposition is well-formed per the
+// text format (0.0.4) strictly enough that a real scraper would ingest it.
 
 // promSample is one parsed sample line.
 type promSample struct {
@@ -225,70 +224,110 @@ func checkFamilyShape(t *testing.T, name string, f *promFamily) {
 	}
 }
 
-// statsToProm is THE mapping this test exists to defend: every /v1/stats
-// leaf on the left, its Prometheus family on the right. Adding a field
-// to Snapshot without extending WritePrometheus (or vice versa) breaks
-// one of the two directions below.
-var statsToProm = map[string]string{
-	"uptime_seconds":                 "rrrd_uptime_seconds",
-	"cache_hits":                     "rrrd_cache_hits_total",
-	"cache_misses":                   "rrrd_cache_misses_total",
-	"in_flight":                      "rrrd_inflight_computations",
-	"failures":                       "rrrd_failures_total",
-	"canceled":                       "rrrd_canceled_total",
-	"batches":                        "rrrd_batches_total",
-	"batch_items":                    "rrrd_batch_items_total",
-	"coalesced_joins":                "rrrd_coalesced_joins_total",
-	"shard.sharded_solves":           "rrrd_sharded_solves_total",
-	"shard.shards_done":              "rrrd_shards_done_total",
-	"shard.candidates":               "rrrd_shard_candidates_total",
-	"shard.input_tuples":             "rrrd_shard_input_tuples_total",
-	"delta.mutations":                "rrrd_delta_mutations_total",
-	"delta.mutated_tuples":           "rrrd_delta_mutated_tuples_total",
-	"delta.revalidated":              "rrrd_delta_revalidated_total",
-	"delta.repaired":                 "rrrd_delta_repaired_total",
-	"delta.recomputed":               "rrrd_delta_recomputed_total",
-	"persist.wal_appends":            "rrrd_wal_appends_total",
-	"persist.wal_bytes":              "rrrd_wal_bytes_total",
-	"persist.replayed_batches":       "rrrd_replayed_batches_total",
-	"persist.warmed_answers":         "rrrd_warmed_answers_total",
-	"persist.snapshot_age_seconds":   "rrrd_snapshot_age_seconds",
-	"watch.subscribers":              "rrrd_watch_subscribers",
-	"watch.events":                   "rrrd_watch_events_total",
-	"watch.dropped":                  "rrrd_watch_dropped_total",
-	"watch.resumes":                  "rrrd_watch_resumes_total",
-	"trace.sampled":                  "rrrd_trace_sampled_total",
-	"trace.unsampled":                "rrrd_trace_unsampled_total",
-	"trace.exported_spans":           "rrrd_trace_export_spans_total",
-	"trace.exported_batches":         "rrrd_trace_export_batches_total",
-	"trace.export_retries":           "rrrd_trace_export_retries_total",
-	"trace.export_failures":          "rrrd_trace_export_failures_total",
-	"trace.export_dropped":           "rrrd_trace_export_dropped_total",
-	"runtime.goroutines":             "rrrd_goroutines",
-	"runtime.heap_alloc_bytes":       "rrrd_heap_alloc_bytes",
-	"runtime.gc_pause_seconds_total": "rrrd_gc_pause_seconds_total",
-	"latency_by_algorithm":           "rrrd_solve_duration_seconds",
-	"latency_by_phase":               "rrrd_solve_phase_seconds",
+// statPath is the /v1/stats JSON path of the Snapshot field sig fills,
+// found by matching the address and type stat returns against every
+// leaf field of a Snapshot.
+func statPath(t *testing.T, sig *signal) string {
+	t.Helper()
+	var s Snapshot
+	target := reflect.ValueOf(sig.stat(&s))
+	var walk func(v reflect.Value, prefix string) string
+	walk = func(v reflect.Value, prefix string) string {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			path := prefix + strings.Split(v.Type().Field(i).Tag.Get("json"), ",")[0]
+			if f.Kind() == reflect.Struct {
+				if p := walk(f, path+"."); p != "" {
+					return p
+				}
+			} else if f.Addr().Pointer() == target.Pointer() && f.Addr().Type() == target.Type() {
+				return path
+			}
+		}
+		return ""
+	}
+	p := walk(reflect.ValueOf(&s).Elem(), "")
+	if p == "" {
+		t.Fatalf("signal %q (%s): stat does not point at a Snapshot leaf", sig.name, sig.help)
+	}
+	return p
 }
 
-// statsDerived are /v1/stats leaves with no Prometheus family of their
-// own because a scraper derives them: documented exemptions, not drift.
-var statsDerived = map[string]string{
-	"computations":      "sum(rrrd_solve_duration_seconds_count) across algorithms",
-	"shard.prune_ratio": "1 - rrrd_shard_candidates_total / rrrd_shard_input_tuples_total",
-}
-
-// opaqueStatsKeys are Snapshot maps keyed by dynamic names (algorithm,
-// phase); the drift check maps the whole map to one histogram family
-// instead of walking its per-key internals.
-var opaqueStatsKeys = map[string]bool{
-	"latency_by_algorithm": true,
-	"latency_by_phase":     true,
+// TestSignalTable holds the registry to its own rules, with no traffic:
+// one source per entry, unique names and paths, Prometheus naming
+// conventions, and every stored slot read by exactly one entry.
+func TestSignalTable(t *testing.T) {
+	names := make(map[string]bool)
+	paths := make(map[string]bool)
+	slots := make(map[slot]bool)
+	derivedSeen := false
+	for i := range signals {
+		sig := &signals[i]
+		path := statPath(t, sig)
+		if paths[path] {
+			t.Errorf("%s: two entries fill /v1/stats path %q", sig.name, path)
+		}
+		paths[path] = true
+		if sig.help == "" {
+			t.Errorf("%s (%s): empty HELP", sig.name, path)
+		}
+		sources := 0
+		for _, set := range []bool{sig.hists != nil, sig.read != nil, sig.derive != nil} {
+			if set {
+				sources++
+			}
+		}
+		if sources > 1 {
+			t.Errorf("%s (%s): %d value sources, want one", sig.name, path, sources)
+		}
+		if sig.derive != nil {
+			derivedSeen = true
+			if sig.name != "" || sig.typ != "" || sig.label != "" {
+				t.Errorf("derived %s declares a Prometheus family %q", path, sig.name)
+			}
+			continue
+		}
+		if derivedSeen {
+			t.Errorf("%s follows a derived entry: derived values read the fields filled before them", sig.name)
+		}
+		if !strings.HasPrefix(sig.name, "rrrd_") {
+			t.Errorf("family %q lacks the rrrd_ prefix", sig.name)
+		}
+		if names[sig.name] {
+			t.Errorf("family %q declared twice", sig.name)
+		}
+		names[sig.name] = true
+		if (sig.typ == "counter") != strings.HasSuffix(sig.name, "_total") {
+			t.Errorf("%s: a %s; only counters, and all of them, end in _total", sig.name, sig.typ)
+		}
+		switch sig.stat(&Snapshot{}).(type) {
+		case *map[string]HistogramSnapshot:
+			if sig.typ != "histogram" || sig.hists == nil || sig.label == "" {
+				t.Errorf("%s fills a histogram map but is a %s with label %q", sig.name, sig.typ, sig.label)
+			}
+		case *int64, *float64:
+			if (sig.typ != "counter" && sig.typ != "gauge") || sig.hists != nil || sig.label != "" {
+				t.Errorf("%s fills a scalar but is a %s with label %q", sig.name, sig.typ, sig.label)
+			}
+		}
+		if sig.stored() {
+			if _, ok := sig.stat(&Snapshot{}).(*int64); !ok {
+				t.Errorf("%s: stored slots are integers, but it fills %s", sig.name, path)
+			}
+			if slots[sig.src] {
+				t.Errorf("%s: slot %d is read by two entries", sig.name, sig.src)
+			}
+			slots[sig.src] = true
+		}
+	}
+	if len(slots) != int(numSlots) {
+		t.Errorf("%d of %d stored slots are read by an entry", len(slots), numSlots)
+	}
 }
 
 // statsLeafPaths flattens the /v1/stats JSON object into dotted leaf
-// paths, stopping at opaque dynamic-keyed maps.
-func statsLeafPaths(prefix string, v any, out *[]string) {
+// paths, stopping at the dynamic-keyed maps of histogram signals.
+func statsLeafPaths(prefix string, v any, byPath map[string]*signal, out *[]string) {
 	obj, ok := v.(map[string]any)
 	if !ok {
 		*out = append(*out, prefix)
@@ -299,14 +338,18 @@ func statsLeafPaths(prefix string, v any, out *[]string) {
 		if prefix != "" {
 			p = prefix + "." + k
 		}
-		if opaqueStatsKeys[p] {
+		if sig := byPath[p]; sig != nil && sig.hists != nil {
 			*out = append(*out, p)
 			continue
 		}
-		statsLeafPaths(p, child, out)
+		statsLeafPaths(p, child, byPath, out)
 	}
 }
 
+// TestPrometheusExpositionMatchesStats holds the two HTTP surfaces to
+// the registry: every /v1/stats leaf is filled by exactly one entry,
+// every /v1/metrics family comes from exactly one entry, and values that
+// cannot move between the two reads agree.
 func TestPrometheusExpositionMatchesStats(t *testing.T) {
 	ts, _ := newTestServer(t)
 	defer ts.Close()
@@ -329,70 +372,67 @@ func TestPrometheusExpositionMatchesStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := readAll(t, resp)
-	families := parsePromText(t, raw)
+	families := parsePromText(t, readAll(t, resp))
 
 	var snap map[string]any
 	if code := getJSON(t, ts.URL+"/v1/stats", &snap); code != http.StatusOK {
 		t.Fatalf("stats: status %d", code)
 	}
 
-	var leaves []string
-	statsLeafPaths("", snap, &leaves)
-	sort.Strings(leaves)
-
-	// Direction 1: every stats leaf is mapped or exempted.
-	for _, leaf := range leaves {
-		_, mapped := statsToProm[leaf]
-		_, derived := statsDerived[leaf]
-		switch {
-		case mapped && derived:
-			t.Errorf("stats leaf %q is both mapped and exempted — pick one", leaf)
-		case !mapped && !derived:
-			t.Errorf("stats leaf %q has no Prometheus family and no documented exemption: extend WritePrometheus or statsDerived", leaf)
-		case mapped:
-			if _, ok := families[statsToProm[leaf]]; !ok {
-				t.Errorf("stats leaf %q maps to %s, which /v1/metrics does not emit", leaf, statsToProm[leaf])
-			}
+	byPath := make(map[string]*signal, len(signals))
+	byName := make(map[string]*signal, len(signals))
+	for i := range signals {
+		sig := &signals[i]
+		byPath[statPath(t, sig)] = sig
+		if sig.derive == nil {
+			byName[sig.name] = sig
 		}
 	}
-
-	// Direction 2: every emitted family is reachable from a stats leaf.
-	reverse := make(map[string]string, len(statsToProm))
-	for leaf, fam := range statsToProm {
-		if prev, dup := reverse[fam]; dup {
-			t.Errorf("families must map 1:1, but %s has two stats leaves: %q and %q", fam, prev, leaf)
+	var leaves []string
+	statsLeafPaths("", snap, byPath, &leaves)
+	if len(leaves) != len(byPath) {
+		t.Errorf("/v1/stats has %d leaves, the registry fills %d", len(leaves), len(byPath))
+	}
+	for _, leaf := range leaves {
+		sig, ok := byPath[leaf]
+		switch {
+		case !ok:
+			t.Errorf("/v1/stats leaf %q is filled by no signals entry", leaf)
+		case sig.derive == nil && families[sig.name] == nil:
+			t.Errorf("/v1/stats leaf %q belongs to %s, which /v1/metrics does not emit", leaf, sig.name)
 		}
-		reverse[fam] = leaf
 	}
 	for fam := range families {
-		if !strings.HasPrefix(fam, "rrrd_") {
-			t.Errorf("family %q does not carry the rrrd_ namespace prefix", fam)
-		}
-		if _, ok := reverse[fam]; !ok {
-			t.Errorf("Prometheus family %s has no /v1/stats counterpart: extend Snapshot or the statsToProm map", fam)
+		if byName[fam] == nil {
+			t.Errorf("/v1/metrics family %s comes from no signals entry", fam)
 		}
 	}
 
-	// Mapped leaves that cannot move between the two HTTP calls (no
-	// traffic in between) must agree exactly in value.
-	stable := []string{
-		"cache_hits", "cache_misses", "in_flight", "failures", "canceled",
-		"batches", "batch_items", "coalesced_joins",
-		"shard.sharded_solves", "shard.shards_done", "shard.candidates", "shard.input_tuples",
-		"delta.mutations", "delta.mutated_tuples", "delta.revalidated", "delta.repaired", "delta.recomputed",
-		"persist.wal_appends", "persist.wal_bytes", "persist.replayed_batches", "persist.warmed_answers",
-		"watch.subscribers", "watch.events", "watch.dropped", "watch.resumes",
-		"trace.sampled", "trace.unsampled",
-		"trace.exported_spans", "trace.exported_batches",
-		"trace.export_retries", "trace.export_failures", "trace.export_dropped",
-	}
-	for _, leaf := range stable {
-		want := statsLeafValue(t, snap, leaf)
-		fam := families[statsToProm[leaf]]
-		got := fam.samples[statsToProm[leaf]][0].value
-		if got != want {
-			t.Errorf("%s: /v1/metrics says %g, /v1/stats says %g", statsToProm[leaf], got, want)
+	// Stored slots and histograms move only on events, and none happen
+	// between the two reads: their values must agree exactly.
+	for i := range signals {
+		sig := &signals[i]
+		path := statPath(t, sig)
+		switch {
+		case sig.stored():
+			want := statsLeafValue(t, snap, path)
+			if got := families[sig.name].samples[sig.name][0].value; got != want {
+				t.Errorf("%s: /v1/metrics says %g, /v1/stats %s says %g", sig.name, got, path, want)
+			}
+		case sig.hists != nil:
+			counts := make(map[string]float64)
+			for _, c := range families[sig.name].samples[sig.name+"_count"] {
+				counts[c.labels[sig.label]] = c.value
+			}
+			series, _ := snap[path].(map[string]any)
+			if len(series) != len(counts) {
+				t.Errorf("%s: %d series on /v1/metrics, %d in /v1/stats %s", sig.name, len(counts), len(series), path)
+			}
+			for key := range series {
+				if want := statsLeafValue(t, snap, path+"."+key+".count"); counts[key] != want {
+					t.Errorf("%s{%s=%q}: _count %g, /v1/stats count %g", sig.name, sig.label, key, counts[key], want)
+				}
+			}
 		}
 	}
 

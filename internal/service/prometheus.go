@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
@@ -27,140 +26,70 @@ func (m *Metrics) WritePrometheus(w io.Writer) { m.writeExposition(w, false) }
 // jump from "this bucket is slow" to GET /v1/traces/{id} (or the
 // collector's view of the exported span tree).
 //
-// One emitter serves both formats so they cannot drift; the promdrift
-// test additionally holds both surfaces equal family-by-family.
+// One emitter serves both formats, and both render signals, so neither
+// can drift from the other or from /v1/stats.
 func (m *Metrics) WriteOpenMetrics(w io.Writer) { m.writeExposition(w, true) }
 
 func (m *Metrics) writeExposition(w io.Writer, om bool) {
 	if m == nil {
 		return
 	}
-	// In OpenMetrics the family name in HELP/TYPE is the sample name
-	// minus the counter's mandatory _total suffix; classic text repeats
-	// the full name in both places.
-	counter := func(name, help string, v int64) {
-		family := name
-		if om {
-			family = strings.TrimSuffix(name, "_total")
+	// Scalars render from one snapshot, so each sample is exactly the
+	// value /v1/stats would report at that instant.
+	s := m.Snapshot()
+	for i := range signals {
+		sig := &signals[i]
+		if sig.derive != nil {
+			continue // /v1/stats only: a scraper derives it
 		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", family, help, family, name, v)
-	}
-	counterF := func(name, help string, v float64) {
-		family := name
-		if om {
-			family = strings.TrimSuffix(name, "_total")
+		// In OpenMetrics the family name in HELP/TYPE is the sample name
+		// minus the counter's mandatory _total suffix; classic text
+		// repeats the full name in both places.
+		family := sig.name
+		if om && sig.typ == "counter" {
+			family = strings.TrimSuffix(family, "_total")
 		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", family, help, family, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-
-	gauge("rrrd_uptime_seconds", "Seconds since the metrics were created.", time.Since(m.start).Seconds())
-	counter("rrrd_cache_hits_total", "Requests served from a completed or shared computation.", m.hits.Load())
-	counter("rrrd_cache_misses_total", "Requests that started a new computation.", m.misses.Load())
-	gauge("rrrd_inflight_computations", "Computations currently running.", float64(m.inflight.Load()))
-	counter("rrrd_failures_total", "Computations that failed (excluding cancellations).", m.failures.Load())
-	counter("rrrd_canceled_total", "Computations canceled by waiter abandonment or deadlines.", m.canceled.Load())
-	counter("rrrd_batches_total", "Batch computations started.", m.batches.Load())
-	counter("rrrd_batch_items_total", "Keys claimed by batch computations.", m.batchItems.Load())
-	counter("rrrd_coalesced_joins_total", "Requests that joined a key an in-flight batch claimed.", m.coalesced.Load())
-	counter("rrrd_sharded_solves_total", "Computations routed through the map-reduce shard engine.", m.shardedSolves.Load())
-	counter("rrrd_shards_done_total", "Shards whose map-phase extraction completed.", m.shardsDone.Load())
-	counter("rrrd_shard_candidates_total", "Candidate tuples the map phases kept.", m.shardCandidates.Load())
-	counter("rrrd_shard_input_tuples_total", "Tuples the map phases saw before pruning.", m.shardInput.Load())
-	counter("rrrd_delta_mutations_total", "Mutation batches applied to registered datasets.", m.mutations.Load())
-	counter("rrrd_delta_mutated_tuples_total", "Tuples appended or deleted by mutation batches.", m.mutatedTuples.Load())
-	counter("rrrd_delta_revalidated_total", "Cached answers proven still exact across a mutation and re-keyed.", m.deltaRevalidated.Load())
-	counter("rrrd_delta_repaired_total", "Cached answers repaired by a reduce-phase re-run on the patched pool.", m.deltaRepaired.Load())
-	counter("rrrd_delta_recomputed_total", "Cached answers invalidated by a mutation for lazy full recompute.", m.deltaRecomputed.Load())
-	counter("rrrd_wal_appends_total", "Mutation batches made durable in the write-ahead log.", m.walAppends.Load())
-	counter("rrrd_wal_bytes_total", "Bytes appended to the write-ahead log.", m.walBytes.Load())
-	counter("rrrd_replayed_batches_total", "WAL batches re-applied during boot recovery.", m.replayedBatches.Load())
-	counter("rrrd_warmed_answers_total", "Cached answers readmitted from the warm-cache file at boot.", m.warmedAnswers.Load())
-	gauge("rrrd_watch_subscribers", "Watch streams currently open.", float64(m.watchSubscribers.Load()))
-	counter("rrrd_watch_events_total", "Events enqueued to watch subscribers (one publish to N subscribers counts N).", m.watchEvents.Load())
-	counter("rrrd_watch_dropped_total", "Watch subscribers dropped after overflowing their event ring.", m.watchDropped.Load())
-	counter("rrrd_watch_resumes_total", "Watch reconnects resumed by journal replay instead of a fresh snapshot.", m.watchResumes.Load())
-	counter("rrrd_trace_sampled_total", "Head-sampling decisions that recorded the trace.", m.traceSampled.Load())
-	counter("rrrd_trace_unsampled_total", "Head-sampling decisions that declined the trace.", m.traceUnsampled.Load())
-	counter("rrrd_trace_export_spans_total", "Spans delivered to the OTLP collector in accepted batches.", m.exportSpans.Load())
-	counter("rrrd_trace_export_batches_total", "Batch POSTs the OTLP collector accepted.", m.exportBatches.Load())
-	counter("rrrd_trace_export_retries_total", "Batch POSTs re-attempted after retryable collector failures.", m.exportRetries.Load())
-	counter("rrrd_trace_export_failures_total", "Batches abandoned after their final delivery attempt.", m.exportFailures.Load())
-	counter("rrrd_trace_export_dropped_total", "Traces dropped instead of blocking a request on a slow or down collector.", m.exportDropped.Load())
-	// Emitted unconditionally (-1 = no snapshot yet, exactly as the JSON
-	// surface reports it) so the series set never depends on state.
-	gauge("rrrd_snapshot_age_seconds", "Seconds since the registry snapshot was last written (-1 when none).", m.snapshotAge())
-
-	rt := readRuntime()
-	gauge("rrrd_goroutines", "Goroutines currently live in the process.", float64(rt.Goroutines))
-	gauge("rrrd_heap_alloc_bytes", "Heap bytes allocated and still in use.", float64(rt.HeapAllocBytes))
-	counterF("rrrd_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", rt.GCPauseSecondsTotal)
-
-	// Latency histograms, one series set per algorithm, iterated in sorted
-	// order so the exposition is deterministic. The lock covers only the
-	// map snapshot, never the writes: w may be a slow client's
-	// ResponseWriter, and computeFinished takes the same mutex on every
-	// successful solve. The histogram fields themselves are atomics, safe
-	// to read unlocked.
-	const hname = "rrrd_solve_duration_seconds"
-	fmt.Fprintf(w, "# HELP %s Successful computation latency by algorithm.\n# TYPE %s histogram\n", hname, hname)
-	m.mu.Lock()
-	hists := make(map[string]*histogram, len(m.latencies))
-	algos := make([]string, 0, len(m.latencies))
-	for a, h := range m.latencies {
-		algos = append(algos, a)
-		hists[a] = h
-	}
-	m.mu.Unlock()
-	sort.Strings(algos)
-	writeHist := func(name, label, value string, h *histogram) {
-		bounds := h.bucketBounds()
-		cum := int64(0)
-		for i := range h.counts {
-			cum += h.counts[i].Load()
-			le := "+Inf"
-			if i < len(bounds) {
-				le = fmt.Sprintf("%g", bounds[i].Seconds())
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", family, sig.help, family, sig.typ)
+		switch p := sig.stat(&s).(type) {
+		case *int64:
+			fmt.Fprintf(w, "%s %d\n", sig.name, *p)
+		case *float64:
+			fmt.Fprintf(w, "%s %g\n", sig.name, *p)
+		default:
+			for _, se := range m.series(sig) {
+				writeHistogram(w, sig.name, sig.label, se, om)
 			}
-			fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d", name, label, value, le, cum)
-			if om {
-				// The exemplar stays on the observation's native bucket, so
-				// its value is always within this le bound as the spec
-				// requires (cumulative buckets would otherwise let it leak
-				// upward).
-				if ex := h.exemplars[i].Load(); ex != nil {
-					fmt.Fprintf(w, " # {trace_id=%q} %g %.3f", ex.traceID, ex.value, float64(ex.atNanos)/1e9)
-				}
-			}
-			io.WriteString(w, "\n")
 		}
-		fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, label, value, time.Duration(h.sum.Load()).Seconds())
-		fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, value, h.total.Load())
 	}
-	for _, a := range algos {
-		writeHist(hname, "algorithm", a, hists[a])
-	}
-
-	// Per-phase histograms from the trace hooks: the same spans the /v1
-	// traces surface exposes, aggregated. Same lock discipline as above.
-	const pname = "rrrd_solve_phase_seconds"
-	fmt.Fprintf(w, "# HELP %s Solve-phase duration from trace spans, by phase.\n# TYPE %s histogram\n", pname, pname)
-	m.mu.Lock()
-	phists := make(map[string]*histogram, len(m.phases))
-	phases := make([]string, 0, len(m.phases))
-	for p, h := range m.phases {
-		phases = append(phases, p)
-		phists[p] = h
-	}
-	m.mu.Unlock()
-	sort.Strings(phases)
-	for _, p := range phases {
-		writeHist(pname, "phase", p, phists[p])
-	}
-
 	if om {
 		io.WriteString(w, "# EOF\n")
 	}
+}
+
+// writeHistogram renders one labeled histogram: cumulative le buckets in
+// seconds, then _sum and _count. In OpenMetrics each bucket also carries
+// its exemplar.
+func writeHistogram(w io.Writer, name, label string, se series, om bool) {
+	h := se.h
+	cum := int64(0)
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = fmt.Sprintf("%g", h.bounds[i].Seconds())
+		}
+		fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d", name, label, se.value, le, cum)
+		if om {
+			// The exemplar stays on the observation's native bucket, so
+			// its value is always within this le bound as the spec
+			// requires (cumulative buckets would otherwise let it leak
+			// upward).
+			if ex := h.exemplars[i].Load(); ex != nil {
+				fmt.Fprintf(w, " # {trace_id=%q} %g %.3f", ex.traceID, ex.value, float64(ex.atNanos)/1e9)
+			}
+		}
+		io.WriteString(w, "\n")
+	}
+	fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, label, se.value, time.Duration(h.sum.Load()).Seconds())
+	fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, se.value, h.total.Load())
 }

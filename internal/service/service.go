@@ -248,9 +248,12 @@ func (s *Service) Mutate(ctx context.Context, name string, b delta.Batch) (*Muta
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.mutation(len(ch.Inserted) + len(ch.Deleted))
+	s.metrics.add(deltaMutations, 1)
+	s.metrics.add(deltaMutatedTuples, int64(len(ch.Inserted)+len(ch.Deleted)))
 	stats, classes := s.maintain(ctx, cur, ch)
-	s.metrics.deltaOutcomes(stats.Revalidated, stats.Repaired, stats.Recomputed)
+	s.metrics.add(deltaRevalidated, int64(stats.Revalidated))
+	s.metrics.add(deltaRepaired, int64(stats.Repaired))
+	s.metrics.add(deltaRecomputed, int64(stats.Recomputed))
 	// The watch fan-out is part of the commit's critical path; give it
 	// its own span so a traced mutation shows how much of its latency
 	// went to notifying subscribers (trace export itself never appears

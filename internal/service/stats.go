@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,11 +42,10 @@ var phaseBuckets = []time.Duration{
 const numBuckets = 8
 
 // histogram is a fixed-bucket latency histogram; the last index is the
-// overflow bucket. bounds must hold numBuckets-1 entries; nil means
-// latencyBuckets (the per-algorithm grid, the historical default).
-// Each bucket additionally retains its latest traced observation as an
-// exemplar — the OpenMetrics "jump from a bucket to the trace that put
-// a count there" link.
+// overflow bucket. bounds holds numBuckets-1 entries (latencyBuckets or
+// phaseBuckets). Each bucket additionally retains its latest traced
+// observation as an exemplar — the OpenMetrics "jump from a bucket to the
+// trace that put a count there" link.
 type histogram struct {
 	counts    [numBuckets]atomic.Int64
 	sum       atomic.Int64 // nanoseconds
@@ -63,13 +63,6 @@ type exemplar struct {
 	atNanos int64   // unix nanoseconds of the observation
 }
 
-func (h *histogram) bucketBounds() []time.Duration {
-	if h.bounds != nil {
-		return h.bounds
-	}
-	return latencyBuckets
-}
-
 func (h *histogram) observe(d time.Duration) {
 	h.observeTraced(d, trace.TraceID{})
 }
@@ -79,7 +72,7 @@ func (h *histogram) observe(d time.Duration) {
 // Untraced observations skip the store entirely, so the zero-alloc
 // paths never pay for the exemplar's string rendering.
 func (h *histogram) observeTraced(d time.Duration, tid trace.TraceID) {
-	bounds := h.bucketBounds()
+	bounds := h.bounds
 	i := 0
 	for i < len(bounds) && d > bounds[i] {
 		i++
@@ -100,7 +93,7 @@ type HistogramSnapshot struct {
 }
 
 func (h *histogram) snapshot() HistogramSnapshot {
-	bounds := h.bucketBounds()
+	bounds := h.bounds
 	s := HistogramSnapshot{Buckets: make(map[string]int64, len(bounds)+1)}
 	for i := range h.counts {
 		label := "+inf"
@@ -118,50 +111,54 @@ func (h *histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// Metrics aggregates the daemon's operational counters: cache hits and
-// misses, in-flight computations, per-algorithm latency histograms, and
-// computation failures. All methods are safe for concurrent use and safe on
-// a nil receiver (components constructed without metrics just don't
-// report).
+// slot is one integer value Metrics stores: a counter, or a gauge the
+// serving layer moves up and down. Exactly one entry of signals reads
+// each slot.
+type slot int
+
+const (
+	cacheHits slot = iota
+	cacheMisses
+	inFlight
+	failures
+	canceled
+	batches
+	batchItems
+	coalescedJoins
+	shardedSolves
+	shardsDone
+	shardCandidates
+	shardInputTuples
+	deltaMutations
+	deltaMutatedTuples
+	deltaRevalidated
+	deltaRepaired
+	deltaRecomputed
+	walAppends
+	walBytes
+	replayedBatches
+	warmedAnswers
+	watchSubscribers
+	watchEvents
+	watchDropped
+	watchResumes
+	traceSampled
+	traceUnsampled
+	exportSpans
+	exportBatches
+	exportRetries
+	exportFailures
+	exportDropped
+	numSlots
+)
+
+// Metrics aggregates the daemon's operational signals: stored slots,
+// moved by add, and the per-algorithm and per-phase latency histograms.
+// signals says how each is exposed. All methods are safe for concurrent
+// use and safe on a nil receiver (components constructed without metrics
+// just don't report).
 type Metrics struct {
-	hits     atomic.Int64
-	misses   atomic.Int64
-	inflight atomic.Int64
-	failures atomic.Int64
-	canceled atomic.Int64
-
-	batches    atomic.Int64
-	batchItems atomic.Int64
-	coalesced  atomic.Int64
-
-	shardedSolves   atomic.Int64
-	shardsDone      atomic.Int64
-	shardCandidates atomic.Int64
-	shardInput      atomic.Int64
-
-	mutations        atomic.Int64
-	mutatedTuples    atomic.Int64
-	deltaRevalidated atomic.Int64
-	deltaRepaired    atomic.Int64
-	deltaRecomputed  atomic.Int64
-
-	walAppends      atomic.Int64
-	walBytes        atomic.Int64
-	replayedBatches atomic.Int64
-	warmedAnswers   atomic.Int64
-
-	watchSubscribers atomic.Int64 // gauge: live watch streams
-	watchEvents      atomic.Int64
-	watchDropped     atomic.Int64
-	watchResumes     atomic.Int64
-
-	traceSampled   atomic.Int64
-	traceUnsampled atomic.Int64
-	exportSpans    atomic.Int64
-	exportBatches  atomic.Int64
-	exportRetries  atomic.Int64
-	exportFailures atomic.Int64
-	exportDropped  atomic.Int64
+	values [numSlots]atomic.Int64
 	// snapshotUnixNano is when the last snapshot was written (or, right
 	// after boot, the mtime of the one that was read); 0 = none yet.
 	snapshotUnixNano atomic.Int64
@@ -182,42 +179,34 @@ func NewMetrics() *Metrics {
 	}
 }
 
+// add moves slot s by n: the one write path for stored signals.
+func (m *Metrics) add(s slot, n int64) {
+	if m != nil {
+		m.values[s].Add(n)
+	}
+}
+
+// histFor returns key's histogram in set, creating it with bounds on
+// first use.
+func (m *Metrics) histFor(set map[string]*histogram, key string, bounds []time.Duration) *histogram {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h, ok := set[key]
+	if !ok {
+		h = &histogram{bounds: bounds}
+		set[key] = h
+	}
+	return h
+}
+
 // PhaseObserve records one solve-phase duration — the trace recorder's
 // sink (trace.PhaseSink), so every ended span feeds the
 // rrrd_solve_phase_seconds histogram of its phase, carrying its trace
 // ID as the bucket's exemplar. Called outside the recorder's lock;
 // nil-safe like every Metrics method.
 func (m *Metrics) PhaseObserve(phase string, d time.Duration, tid trace.TraceID) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	h, ok := m.phases[phase]
-	if !ok {
-		h = &histogram{bounds: phaseBuckets}
-		m.phases[phase] = h
-	}
-	m.mu.Unlock()
-	h.observeTraced(d, tid)
-}
-
-func (m *Metrics) hit() {
 	if m != nil {
-		m.hits.Add(1)
-	}
-}
-
-func (m *Metrics) miss() {
-	if m != nil {
-		m.misses.Add(1)
-	}
-}
-
-// coalesce records a request joining a key an in-flight batch claimed:
-// the computation it would have started is absorbed into the batch.
-func (m *Metrics) coalesce() {
-	if m != nil {
-		m.coalesced.Add(1)
+		m.histFor(m.phases, phase, phaseBuckets).observeTraced(d, tid)
 	}
 }
 
@@ -225,146 +214,52 @@ func (m *Metrics) coalesce() {
 // engine: how many shards its plan held and how far the map phase pruned.
 // No-op for unsharded results (shards == 0), so call sites don't branch.
 func (m *Metrics) shardSolve(shards, candidates, input int) {
-	if m == nil || shards <= 0 {
+	if shards <= 0 {
 		return
 	}
-	m.shardedSolves.Add(1)
-	m.shardsDone.Add(int64(shards))
-	m.shardCandidates.Add(int64(candidates))
-	m.shardInput.Add(int64(input))
+	m.add(shardedSolves, 1)
+	m.add(shardsDone, int64(shards))
+	m.add(shardCandidates, int64(candidates))
+	m.add(shardInputTuples, int64(input))
 }
 
-// mutation records one applied mutation batch touching n tuples.
-func (m *Metrics) mutation(n int) {
-	if m != nil {
-		m.mutations.Add(1)
-		m.mutatedTuples.Add(int64(n))
-	}
-}
-
-// deltaOutcomes records one mutation batch's classification tally:
-// cached answers proven still exact and re-keyed, repaired by a
-// reduce-phase re-run, and invalidated for lazy full recompute.
-func (m *Metrics) deltaOutcomes(revalidated, repaired, recomputed int) {
-	if m != nil {
-		m.deltaRevalidated.Add(int64(revalidated))
-		m.deltaRepaired.Add(int64(repaired))
-		m.deltaRecomputed.Add(int64(recomputed))
-	}
-}
-
-// The four methods below implement watch.Counters, making *Metrics the
-// hub's telemetry sink directly — no adapter layer to drift out of sync.
+// The four methods below implement watch.Counters, and the five after
+// them export.Counters, making *Metrics the watch hub's and the OTLP
+// exporter's telemetry sink directly — no adapter layer to drift.
 
 // WatchSubscribers moves the live watch-stream gauge by delta.
-func (m *Metrics) WatchSubscribers(delta int) {
-	if m != nil {
-		m.watchSubscribers.Add(int64(delta))
-	}
-}
+func (m *Metrics) WatchSubscribers(delta int) { m.add(watchSubscribers, int64(delta)) }
 
 // WatchEvents records n events enqueued to watch subscribers (fan-out
 // volume: one publish to N subscribers counts N).
-func (m *Metrics) WatchEvents(n int) {
-	if m != nil {
-		m.watchEvents.Add(int64(n))
-	}
-}
+func (m *Metrics) WatchEvents(n int) { m.add(watchEvents, int64(n)) }
 
 // WatchDropped records one subscriber dropped by ring overflow.
-func (m *Metrics) WatchDropped() {
-	if m != nil {
-		m.watchDropped.Add(1)
-	}
-}
+func (m *Metrics) WatchDropped() { m.add(watchDropped, 1) }
 
 // WatchResumed records one reconnect served by journal replay instead of
 // a fresh snapshot.
-func (m *Metrics) WatchResumed() {
-	if m != nil {
-		m.watchResumes.Add(1)
-	}
-}
-
-// sampled / unsampled record head-sampling decisions: the serving
-// layer's one sampler call per trace candidate lands in exactly one.
-
-func (m *Metrics) sampled() {
-	if m != nil {
-		m.traceSampled.Add(1)
-	}
-}
-
-func (m *Metrics) unsampled() {
-	if m != nil {
-		m.traceUnsampled.Add(1)
-	}
-}
-
-// The five methods below implement export.Counters, making *Metrics the
-// OTLP exporter's telemetry sink directly — the watch.Counters pattern.
+func (m *Metrics) WatchResumed() { m.add(watchResumes, 1) }
 
 // ExportedSpans counts spans delivered to the collector in accepted
 // batches.
-func (m *Metrics) ExportedSpans(n int) {
-	if m != nil {
-		m.exportSpans.Add(int64(n))
-	}
-}
+func (m *Metrics) ExportedSpans(n int) { m.add(exportSpans, int64(n)) }
 
 // ExportBatches counts accepted batch POSTs to the collector.
-func (m *Metrics) ExportBatches(n int) {
-	if m != nil {
-		m.exportBatches.Add(int64(n))
-	}
-}
+func (m *Metrics) ExportBatches(n int) { m.add(exportBatches, int64(n)) }
 
 // ExportRetries counts re-attempted batch POSTs after retryable
 // failures.
-func (m *Metrics) ExportRetries(n int) {
-	if m != nil {
-		m.exportRetries.Add(int64(n))
-	}
-}
+func (m *Metrics) ExportRetries(n int) { m.add(exportRetries, int64(n)) }
 
 // ExportFailures counts batches abandoned after their final attempt.
-func (m *Metrics) ExportFailures(n int) {
-	if m != nil {
-		m.exportFailures.Add(int64(n))
-	}
-}
+func (m *Metrics) ExportFailures(n int) { m.add(exportFailures, int64(n)) }
 
 // ExportDroppedTraces counts traces that never reached the collector —
 // queue overflow under a down or slow collector, or membership in an
 // abandoned batch. This moving is the exporter's drop-never-block
 // contract made visible.
-func (m *Metrics) ExportDroppedTraces(n int) {
-	if m != nil {
-		m.exportDropped.Add(int64(n))
-	}
-}
-
-// walAppend records one durable WAL append of n bytes.
-func (m *Metrics) walAppend(n int) {
-	if m != nil {
-		m.walAppends.Add(1)
-		m.walBytes.Add(int64(n))
-	}
-}
-
-// replayed records n WAL batches re-applied during boot recovery.
-func (m *Metrics) replayed(n int) {
-	if m != nil {
-		m.replayedBatches.Add(int64(n))
-	}
-}
-
-// warmed records n cached answers readmitted from the warm-cache file.
-func (m *Metrics) warmed(n int) {
-	if m != nil {
-		m.warmedAnswers.Add(int64(n))
-	}
-}
+func (m *Metrics) ExportDroppedTraces(n int) { m.add(exportDropped, int64(n)) }
 
 // snapshotAt records when the registry snapshot was last written or read.
 func (m *Metrics) snapshotAt(t time.Time) {
@@ -373,23 +268,14 @@ func (m *Metrics) snapshotAt(t time.Time) {
 	}
 }
 
-// snapshotAge returns seconds since the last snapshot, -1 when none.
-func (m *Metrics) snapshotAge() float64 {
-	if m == nil {
-		return -1
-	}
-	ns := m.snapshotUnixNano.Load()
-	if ns == 0 {
-		return -1
-	}
-	return time.Since(time.Unix(0, ns)).Seconds()
-}
-
-// batchStarted records one batch computation claiming n keys.
-func (m *Metrics) batchStarted(n int) {
-	if m != nil {
-		m.batches.Add(1)
-		m.batchItems.Add(int64(n))
+// failed counts one computation that ended in err. Cancellations (client
+// gone, deadline hit) are operationally distinct from solver failures:
+// one is demand disappearing, the other is the system misbehaving.
+func (m *Metrics) failed(err error) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		m.add(canceled, 1)
+	} else {
+		m.add(failures, 1)
 	}
 }
 
@@ -397,30 +283,9 @@ func (m *Metrics) batchStarted(n int) {
 // cancellations count like single computations; successful items are
 // carried by the batch-level latency entry, so they are not re-counted
 // here.
-func (m *Metrics) batchItemFinished(algo string, elapsed time.Duration, err error) {
-	if m == nil || err == nil {
-		return
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		m.canceled.Add(1)
-	} else {
-		m.failures.Add(1)
-	}
-}
-
-// computeAbandonedQueued records a computation canceled before it ever
-// started running — every waiter left while it was queued behind the
-// admission semaphore. It never entered the in-flight gauge, but it must
-// show up in the canceled counter or overload cancellations are invisible.
-func (m *Metrics) computeAbandonedQueued() {
-	if m != nil {
-		m.canceled.Add(1)
-	}
-}
-
-func (m *Metrics) computeStarted() {
-	if m != nil {
-		m.inflight.Add(1)
+func (m *Metrics) batchItemFinished(err error) {
+	if err != nil {
+		m.failed(err)
 	}
 }
 
@@ -431,26 +296,181 @@ func (m *Metrics) computeFinished(algo string, elapsed time.Duration, err error,
 	if m == nil {
 		return
 	}
-	m.inflight.Add(-1)
+	m.add(inFlight, -1)
 	if err != nil {
-		// Cancellations (client gone, deadline hit) are operationally
-		// distinct from solver failures: one is demand disappearing, the
-		// other is the system misbehaving.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			m.canceled.Add(1)
-		} else {
-			m.failures.Add(1)
-		}
+		m.failed(err)
 		return
 	}
+	m.histFor(m.latencies, algo, latencyBuckets).observeTraced(elapsed, tid)
+}
+
+// A signal is one operational value rrrd reports, declared once: its
+// Prometheus family, HELP text and type, the Snapshot field that places
+// it in /v1/stats, and where its value comes from. Snapshot,
+// WritePrometheus and WriteOpenMetrics all iterate signals; none of them
+// names a signal.
+type signal struct {
+	// name is the Prometheus family (counters carry the _total suffix).
+	// Empty for a derived value: /v1/stats reports it, a scraper
+	// computes it from other families.
+	name string
+	// help is the family's HELP text; for a derived value, the formula.
+	help string
+	typ  string // "counter", "gauge" or "histogram"
+	// label tells a histogram's series apart.
+	label string
+	// stat points at the Snapshot field the signal fills — *int64,
+	// *float64 or *map[string]HistogramSnapshot — and so fixes its
+	// /v1/stats JSON path.
+	stat func(*Snapshot) any
+
+	// The value comes from exactly one source: a set of histograms
+	// (hists, read under Metrics.mu), process state at snapshot time
+	// (read), the other Snapshot fields (derive), or, when all three are
+	// nil, the stored slot src.
+	src    slot
+	hists  func(*Metrics) map[string]*histogram
+	read   func(*Metrics, *runtime.MemStats) float64
+	derive func(*Snapshot) float64
+}
+
+// signals is the registry: every /v1/stats leaf and every /v1/metrics
+// family comes from exactly one entry. Snapshot fills the entries in
+// order and the expositions render them in order.
+var signals = []signal{
+	{name: "rrrd_uptime_seconds", typ: "gauge", help: "Seconds since the metrics were created.",
+		stat: func(s *Snapshot) any { return &s.UptimeSeconds },
+		read: func(m *Metrics, _ *runtime.MemStats) float64 { return time.Since(m.start).Seconds() }},
+	{name: "rrrd_cache_hits_total", typ: "counter", src: cacheHits, help: "Requests served from a completed or shared computation.",
+		stat: func(s *Snapshot) any { return &s.CacheHits }},
+	{name: "rrrd_cache_misses_total", typ: "counter", src: cacheMisses, help: "Requests that started a new computation.",
+		stat: func(s *Snapshot) any { return &s.CacheMisses }},
+	{name: "rrrd_inflight_computations", typ: "gauge", src: inFlight, help: "Computations currently running.",
+		stat: func(s *Snapshot) any { return &s.InFlight }},
+	{name: "rrrd_failures_total", typ: "counter", src: failures, help: "Computations that failed (excluding cancellations).",
+		stat: func(s *Snapshot) any { return &s.Failures }},
+	{name: "rrrd_canceled_total", typ: "counter", src: canceled, help: "Computations canceled by waiter abandonment or deadlines.",
+		stat: func(s *Snapshot) any { return &s.Canceled }},
+	{name: "rrrd_batches_total", typ: "counter", src: batches, help: "Batch computations started.",
+		stat: func(s *Snapshot) any { return &s.Batches }},
+	{name: "rrrd_batch_items_total", typ: "counter", src: batchItems, help: "Keys claimed by batch computations.",
+		stat: func(s *Snapshot) any { return &s.BatchItems }},
+	{name: "rrrd_coalesced_joins_total", typ: "counter", src: coalescedJoins, help: "Requests that joined a key an in-flight batch claimed.",
+		stat: func(s *Snapshot) any { return &s.CoalescedJoins }},
+	{name: "rrrd_sharded_solves_total", typ: "counter", src: shardedSolves, help: "Computations routed through the map-reduce shard engine.",
+		stat: func(s *Snapshot) any { return &s.Shard.ShardedSolves }},
+	{name: "rrrd_shards_done_total", typ: "counter", src: shardsDone, help: "Shards whose map-phase extraction completed.",
+		stat: func(s *Snapshot) any { return &s.Shard.ShardsDone }},
+	{name: "rrrd_shard_candidates_total", typ: "counter", src: shardCandidates, help: "Candidate tuples the map phases kept.",
+		stat: func(s *Snapshot) any { return &s.Shard.Candidates }},
+	{name: "rrrd_shard_input_tuples_total", typ: "counter", src: shardInputTuples, help: "Tuples the map phases saw before pruning.",
+		stat: func(s *Snapshot) any { return &s.Shard.InputTuples }},
+	{name: "rrrd_delta_mutations_total", typ: "counter", src: deltaMutations, help: "Mutation batches applied to registered datasets.",
+		stat: func(s *Snapshot) any { return &s.Delta.Mutations }},
+	{name: "rrrd_delta_mutated_tuples_total", typ: "counter", src: deltaMutatedTuples, help: "Tuples appended or deleted by mutation batches.",
+		stat: func(s *Snapshot) any { return &s.Delta.MutatedTuples }},
+	{name: "rrrd_delta_revalidated_total", typ: "counter", src: deltaRevalidated, help: "Cached answers proven still exact across a mutation and re-keyed.",
+		stat: func(s *Snapshot) any { return &s.Delta.Revalidated }},
+	{name: "rrrd_delta_repaired_total", typ: "counter", src: deltaRepaired, help: "Cached answers repaired by a reduce-phase re-run on the patched pool.",
+		stat: func(s *Snapshot) any { return &s.Delta.Repaired }},
+	{name: "rrrd_delta_recomputed_total", typ: "counter", src: deltaRecomputed, help: "Cached answers invalidated by a mutation for lazy full recompute.",
+		stat: func(s *Snapshot) any { return &s.Delta.Recomputed }},
+	{name: "rrrd_wal_appends_total", typ: "counter", src: walAppends, help: "Mutation batches made durable in the write-ahead log.",
+		stat: func(s *Snapshot) any { return &s.Persist.WALAppends }},
+	{name: "rrrd_wal_bytes_total", typ: "counter", src: walBytes, help: "Bytes appended to the write-ahead log.",
+		stat: func(s *Snapshot) any { return &s.Persist.WALBytes }},
+	{name: "rrrd_replayed_batches_total", typ: "counter", src: replayedBatches, help: "WAL batches re-applied during boot recovery.",
+		stat: func(s *Snapshot) any { return &s.Persist.ReplayedBatches }},
+	{name: "rrrd_warmed_answers_total", typ: "counter", src: warmedAnswers, help: "Cached answers readmitted from the warm-cache file at boot.",
+		stat: func(s *Snapshot) any { return &s.Persist.WarmedAnswers }},
+	{name: "rrrd_watch_subscribers", typ: "gauge", src: watchSubscribers, help: "Watch streams currently open.",
+		stat: func(s *Snapshot) any { return &s.Watch.Subscribers }},
+	{name: "rrrd_watch_events_total", typ: "counter", src: watchEvents, help: "Events enqueued to watch subscribers (one publish to N subscribers counts N).",
+		stat: func(s *Snapshot) any { return &s.Watch.Events }},
+	{name: "rrrd_watch_dropped_total", typ: "counter", src: watchDropped, help: "Watch subscribers dropped after overflowing their event ring.",
+		stat: func(s *Snapshot) any { return &s.Watch.Dropped }},
+	{name: "rrrd_watch_resumes_total", typ: "counter", src: watchResumes, help: "Watch reconnects resumed by journal replay instead of a fresh snapshot.",
+		stat: func(s *Snapshot) any { return &s.Watch.Resumes }},
+	{name: "rrrd_trace_sampled_total", typ: "counter", src: traceSampled, help: "Head-sampling decisions that recorded the trace.",
+		stat: func(s *Snapshot) any { return &s.Trace.Sampled }},
+	{name: "rrrd_trace_unsampled_total", typ: "counter", src: traceUnsampled, help: "Head-sampling decisions that declined the trace.",
+		stat: func(s *Snapshot) any { return &s.Trace.Unsampled }},
+	{name: "rrrd_trace_export_spans_total", typ: "counter", src: exportSpans, help: "Spans delivered to the OTLP collector in accepted batches.",
+		stat: func(s *Snapshot) any { return &s.Trace.ExportedSpans }},
+	{name: "rrrd_trace_export_batches_total", typ: "counter", src: exportBatches, help: "Batch POSTs the OTLP collector accepted.",
+		stat: func(s *Snapshot) any { return &s.Trace.ExportedBatches }},
+	{name: "rrrd_trace_export_retries_total", typ: "counter", src: exportRetries, help: "Batch POSTs re-attempted after retryable collector failures.",
+		stat: func(s *Snapshot) any { return &s.Trace.ExportRetries }},
+	{name: "rrrd_trace_export_failures_total", typ: "counter", src: exportFailures, help: "Batches abandoned after their final delivery attempt.",
+		stat: func(s *Snapshot) any { return &s.Trace.ExportFailures }},
+	{name: "rrrd_trace_export_dropped_total", typ: "counter", src: exportDropped, help: "Traces dropped instead of blocking a request on a slow or down collector.",
+		stat: func(s *Snapshot) any { return &s.Trace.ExportDropped }},
+	// -1 = no snapshot yet, on both surfaces, so the series set never
+	// depends on state.
+	{name: "rrrd_snapshot_age_seconds", typ: "gauge", help: "Seconds since the registry snapshot was last written (-1 when none).",
+		stat: func(s *Snapshot) any { return &s.Persist.SnapshotAgeSeconds },
+		read: func(m *Metrics, _ *runtime.MemStats) float64 {
+			ns := m.snapshotUnixNano.Load()
+			if ns == 0 {
+				return -1
+			}
+			return time.Since(time.Unix(0, ns)).Seconds()
+		}},
+	{name: "rrrd_goroutines", typ: "gauge", help: "Goroutines currently live in the process.",
+		stat: func(s *Snapshot) any { return &s.Runtime.Goroutines },
+		read: func(*Metrics, *runtime.MemStats) float64 { return float64(runtime.NumGoroutine()) }},
+	{name: "rrrd_heap_alloc_bytes", typ: "gauge", help: "Heap bytes allocated and still in use.",
+		stat: func(s *Snapshot) any { return &s.Runtime.HeapAllocBytes },
+		read: func(_ *Metrics, ms *runtime.MemStats) float64 { return float64(ms.HeapAlloc) }},
+	{name: "rrrd_gc_pause_seconds_total", typ: "counter", help: "Cumulative GC stop-the-world pause time.",
+		stat: func(s *Snapshot) any { return &s.Runtime.GCPauseSecondsTotal },
+		read: func(_ *Metrics, ms *runtime.MemStats) float64 { return float64(ms.PauseTotalNs) / 1e9 }},
+	{name: "rrrd_solve_duration_seconds", typ: "histogram", label: "algorithm", help: "Successful computation latency by algorithm.",
+		stat:  func(s *Snapshot) any { return &s.Latencies },
+		hists: func(m *Metrics) map[string]*histogram { return m.latencies }},
+	{name: "rrrd_solve_phase_seconds", typ: "histogram", label: "phase", help: "Solve-phase duration from trace spans, by phase.",
+		stat:  func(s *Snapshot) any { return &s.Phases },
+		hists: func(m *Metrics) map[string]*histogram { return m.phases }},
+	// Derived values come last: they read the fields filled above.
+	{help: "sum(rrrd_solve_duration_seconds_count) across algorithms",
+		stat: func(s *Snapshot) any { return &s.Computations },
+		derive: func(s *Snapshot) float64 {
+			n := int64(0)
+			for _, h := range s.Latencies {
+				n += h.Count
+			}
+			return float64(n)
+		}},
+	{help: "1 - rrrd_shard_candidates_total / rrrd_shard_input_tuples_total",
+		stat: func(s *Snapshot) any { return &s.Shard.PruneRatio },
+		derive: func(s *Snapshot) float64 {
+			if s.Shard.InputTuples == 0 {
+				return 0
+			}
+			return 1 - float64(s.Shard.Candidates)/float64(s.Shard.InputTuples)
+		}},
+}
+
+// series is one labeled histogram of a histogram signal.
+type series struct {
+	value string
+	h     *histogram
+}
+
+// series returns sig's histograms sorted by label value. The lock covers
+// only the map copy, never the caller's writes: those may go to a slow
+// client, and computeFinished takes the same mutex on every successful
+// solve. The histograms themselves are atomics, safe to read unlocked.
+func (m *Metrics) series(sig *signal) []series {
 	m.mu.Lock()
-	h, ok := m.latencies[algo]
-	if !ok {
-		h = &histogram{}
-		m.latencies[algo] = h
+	hs := sig.hists(m)
+	out := make([]series, 0, len(hs))
+	for v, h := range hs {
+		out = append(out, series{v, h})
 	}
 	m.mu.Unlock()
-	h.observeTraced(elapsed, tid)
+	sort.Slice(out, func(i, j int) bool { return out[i].value < out[j].value })
+	return out
 }
 
 // ShardSnapshot summarizes the map-reduce engine's activity: how many
@@ -526,17 +546,8 @@ type RuntimeSnapshot struct {
 	GCPauseSecondsTotal float64 `json:"gc_pause_seconds_total"`
 }
 
-func readRuntime() RuntimeSnapshot {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return RuntimeSnapshot{
-		Goroutines:          int64(runtime.NumGoroutine()),
-		HeapAllocBytes:      int64(ms.HeapAlloc),
-		GCPauseSecondsTotal: float64(ms.PauseTotalNs) / 1e9,
-	}
-}
-
-// Snapshot is the /stats payload.
+// Snapshot is the /v1/stats payload. Its fields are the shape of the
+// JSON; signals fills them.
 type Snapshot struct {
 	UptimeSeconds  float64                      `json:"uptime_seconds"`
 	CacheHits      int64                        `json:"cache_hits"`
@@ -558,74 +569,46 @@ type Snapshot struct {
 	Phases         map[string]HistogramSnapshot `json:"latency_by_phase"`
 }
 
-// Snapshot captures the current counters. Counters are read individually
-// without a global lock, so a snapshot taken mid-flight may be off by a
-// request — fine for an operational endpoint.
+// Snapshot captures the current value of every signal. Values are read
+// individually without a global lock, so a snapshot taken mid-flight may
+// be off by a request — fine for an operational endpoint. Derived values
+// are computed last, from the snapshot itself, so they always agree with
+// the fields they summarize.
 func (m *Metrics) Snapshot() Snapshot {
+	var s Snapshot
 	if m == nil {
-		return Snapshot{}
+		return s
 	}
-	s := Snapshot{
-		UptimeSeconds:  time.Since(m.start).Seconds(),
-		CacheHits:      m.hits.Load(),
-		CacheMisses:    m.misses.Load(),
-		InFlight:       m.inflight.Load(),
-		Failures:       m.failures.Load(),
-		Canceled:       m.canceled.Load(),
-		Batches:        m.batches.Load(),
-		BatchItems:     m.batchItems.Load(),
-		CoalescedJoins: m.coalesced.Load(),
-		Shard: ShardSnapshot{
-			ShardedSolves: m.shardedSolves.Load(),
-			ShardsDone:    m.shardsDone.Load(),
-			Candidates:    m.shardCandidates.Load(),
-			InputTuples:   m.shardInput.Load(),
-		},
-		Delta: DeltaSnapshot{
-			Mutations:     m.mutations.Load(),
-			MutatedTuples: m.mutatedTuples.Load(),
-			Revalidated:   m.deltaRevalidated.Load(),
-			Repaired:      m.deltaRepaired.Load(),
-			Recomputed:    m.deltaRecomputed.Load(),
-		},
-		Persist: PersistSnapshot{
-			WALAppends:         m.walAppends.Load(),
-			WALBytes:           m.walBytes.Load(),
-			ReplayedBatches:    m.replayedBatches.Load(),
-			WarmedAnswers:      m.warmedAnswers.Load(),
-			SnapshotAgeSeconds: m.snapshotAge(),
-		},
-		Watch: WatchSnapshot{
-			Subscribers: m.watchSubscribers.Load(),
-			Events:      m.watchEvents.Load(),
-			Dropped:     m.watchDropped.Load(),
-			Resumes:     m.watchResumes.Load(),
-		},
-		Trace: TraceSnapshot{
-			Sampled:         m.traceSampled.Load(),
-			Unsampled:       m.traceUnsampled.Load(),
-			ExportedSpans:   m.exportSpans.Load(),
-			ExportedBatches: m.exportBatches.Load(),
-			ExportRetries:   m.exportRetries.Load(),
-			ExportFailures:  m.exportFailures.Load(),
-			ExportDropped:   m.exportDropped.Load(),
-		},
-		Runtime:   readRuntime(),
-		Latencies: make(map[string]HistogramSnapshot),
-		Phases:    make(map[string]HistogramSnapshot),
-	}
-	if s.Shard.InputTuples > 0 {
-		s.Shard.PruneRatio = 1 - float64(s.Shard.Candidates)/float64(s.Shard.InputTuples)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for algo, h := range m.latencies {
-		snap := h.snapshot()
-		s.Computations += snap.Count
-		s.Latencies[algo] = snap
-	}
-	for phase, h := range m.phases {
-		s.Phases[phase] = h.snapshot()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	for i := range signals {
+		sig := &signals[i]
+		switch p := sig.stat(&s).(type) {
+		case *map[string]HistogramSnapshot:
+			*p = make(map[string]HistogramSnapshot)
+			for _, se := range m.series(sig) {
+				(*p)[se.value] = se.h.snapshot()
+			}
+		case *int64:
+			if sig.stored() {
+				*p = m.values[sig.src].Load()
+			} else {
+				*p = int64(sig.compute(m, &ms, &s))
+			}
+		case *float64:
+			*p = sig.compute(m, &ms, &s)
+		}
 	}
 	return s
+}
+
+// stored reports whether sig's value is its slot src.
+func (sig *signal) stored() bool { return sig.hists == nil && sig.read == nil && sig.derive == nil }
+
+// compute evaluates a read or derived signal.
+func (sig *signal) compute(m *Metrics, ms *runtime.MemStats, s *Snapshot) float64 {
+	if sig.derive != nil {
+		return sig.derive(s)
+	}
+	return sig.read(m, ms)
 }
